@@ -9,6 +9,13 @@
 #      src/fault/ must open with a file-level doc comment (its first line is
 #      a // comment), so the core, observability, service and fault-injection
 #      APIs stay self-describing.
+#   3. Every input that tests or CI read from the checkout must be tracked
+#      by git (in `git ls-files`), so a fresh clone has it: each
+#      tests/golden/* and tests/data/* path named in tests/*.cpp or
+#      .github/workflows/ci.yml, and each baseline ci.yml passes to
+#      tools/bench_compare.py as its second argument (unless the workflow
+#      writes that file itself with --json). An ignore rule that hides such
+#      a file passes every local run and fails only in a fresh clone.
 #
 # Exits non-zero listing every violation. No dependencies beyond bash +
 # coreutils + grep/sed.
@@ -63,8 +70,29 @@ for header in src/core/*.h src/obs/*.h src/service/*.h src/fault/*.h; do
   esac
 done
 
+# --- 3. inputs read by tests and CI are tracked ---------------------------------
+
+ci=.github/workflows/ci.yml
+if command -v git > /dev/null 2>&1 && git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  tracked=$(git ls-files)
+  # ci.yml with backslash continuations joined, so one command is one line.
+  ci_joined=$(sed -e ':a' -e '/\\$/N' -e 's/[[:space:]]*\\\n[[:space:]]*/ /' -e 'ta' "$ci")
+  ci_written=$(grep -o -- '--json [^ ]*' <<< "$ci_joined" | cut -d' ' -f2)
+  inputs=$(
+    grep -oh 'tests/\(golden\|data\)/[A-Za-z0-9_.-]*' tests/*.cpp "$ci"
+    grep -o 'bench_compare\.py [^ ]* [^ -][^ ]*' <<< "$ci_joined" | cut -d' ' -f3 |
+      grep -vxF -- "$ci_written"
+  )
+  for input in $(sort -u <<< "$inputs"); do
+    grep -qxF -- "$input" <<< "$tracked" ||
+      note_failure "$input: read by tests or CI but not tracked by git (check .gitignore, then git add it)"
+  done
+else
+  echo "check_docs: not a git work tree, skipping the tracked-inputs check" >&2
+fi
+
 if [ "$failures" -gt 0 ]; then
   echo "check_docs: $failures problem(s) found" >&2
   exit 1
 fi
-echo "check_docs: OK (markdown links + core/obs/service header doc comments)"
+echo "check_docs: OK (markdown links, header doc comments, tracked test/CI inputs)"
